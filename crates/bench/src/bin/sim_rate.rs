@@ -11,7 +11,9 @@
 //! per-scenario heuristic) for wheel-geometry validation sweeps; results
 //! are geometry-independent, only the rate moves. `--json` emits one
 //! machine-readable object on stdout so CI can record the rate without
-//! scraping logs. `--profile` turns on kernel self-profiling and prints
+//! scraping logs; it includes the process's peak resident memory
+//! (`peak_rss_mb`, from Linux `VmHWM`; `null` elsewhere). `--profile`
+//! turns on kernel self-profiling and prints
 //! per-event-kind dispatch counts plus wheel-occupancy statistics after
 //! the last run (profiling adds a little per-dispatch work, so rates
 //! measured with it are not comparable to unprofiled ones).
@@ -23,6 +25,10 @@
 //! dispatch counts). On meshes other than 4×4 a 4×4 reference is timed
 //! in the same invocation, and the per-event cost ratio against it is
 //! reported (`ratio_vs_4x4` — the cache-bounded-scaling headline).
+//!
+//! Arguments it cannot use (an unparseable value, a mesh below 4×4, zero
+//! repeats, an illegal wheel geometry) print the reason and the usage
+//! line and exit with status 2.
 
 use mango::net::TelemetryConfig;
 use mango::sim::{SimDuration, WheelGeometry};
@@ -101,6 +107,23 @@ fn measure(cfg: &RunConfig, quiet: bool) -> RunResult {
     }
 }
 
+/// Peak resident memory of this process in MB, read from Linux's
+/// `/proc/self/status` `VmHWM` line; `None` where that is unavailable.
+/// It covers the whole invocation, so the 4×4 reference run is
+/// included, though on larger meshes the probed mesh dominates.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() {
     let mut json = false;
     let mut profile = false;
@@ -111,7 +134,10 @@ fn main() {
     let mut width_log2: Option<u32> = None;
     let mut positional: Vec<u64> = Vec::new();
     let mut args = std::env::args().skip(1);
-    fn usage() -> ! {
+    /// Prints why the arguments were refused and the usage line, then
+    /// exits with status 2.
+    fn usage(reason: &str) -> ! {
+        eprintln!("sim_rate: {reason}");
         eprintln!(
             "usage: sim_rate [simulated_us] [repeats] [--mesh N] \
              [--buckets B] [--width-log2 W] [--json] [--profile] [--telemetry] \
@@ -119,10 +145,10 @@ fn main() {
         );
         std::process::exit(2);
     }
-    fn flag_val<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    fn flag_val<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
         match args.next().and_then(|v| v.parse().ok()) {
             Some(v) => v,
-            None => usage(),
+            None => usage(&format!("{flag} needs an in-range non-negative integer")),
         }
     }
     while let Some(a) = args.next() {
@@ -131,18 +157,33 @@ fn main() {
             "--profile" => profile = true,
             "--telemetry" => telemetry = true,
             "--region-block" => region_block = true,
-            "--mesh" => mesh = flag_val(&mut args),
-            "--buckets" => buckets = Some(flag_val(&mut args)),
-            "--width-log2" => width_log2 = Some(flag_val(&mut args)),
-            _ => positional.push(a.parse().unwrap_or_else(|_| usage())),
+            "--mesh" => mesh = flag_val("--mesh", &mut args),
+            "--buckets" => buckets = Some(flag_val("--buckets", &mut args)),
+            "--width-log2" => width_log2 = Some(flag_val("--width-log2", &mut args)),
+            _ => positional.push(
+                a.parse()
+                    .unwrap_or_else(|_| usage(&format!("unexpected argument {a:?}"))),
+            ),
         }
+    }
+    if positional.len() > 2 {
+        usage("at most two positional arguments");
+    }
+    if mesh < 4 {
+        usage(&format!("--mesh must be at least 4, got {mesh}"));
     }
     let sim_us = positional.first().copied().unwrap_or(50);
     let repeats = positional.get(1).copied().unwrap_or(5);
+    if repeats == 0 {
+        usage("repeats must be at least 1");
+    }
     let geometry = (buckets.is_some() || width_log2.is_some()).then(|| WheelGeometry {
         num_buckets: buckets.unwrap_or(WheelGeometry::DEFAULT.num_buckets),
         width_log2: width_log2.unwrap_or(WheelGeometry::DEFAULT.width_log2),
     });
+    if let Some(Err(msg)) = geometry.map(WheelGeometry::check) {
+        usage(&msg);
+    }
 
     let geom = geometry.unwrap_or_else(|| {
         WheelGeometry::for_mesh(
@@ -221,14 +262,15 @@ fn main() {
              \"repeats\":{repeats},\"wheel_buckets\":{},\"wheel_width_ps\":{},\
              \"region_block\":{region_block},\"region_dispatch\":[{regions}],\
              \"runs\":[{}],\"best_events_per_sec\":{:.0},\"best_mevents_per_sec\":{:.2},\
-             \"per_event_ns\":{:.1},\"ratio_vs_4x4\":{:.3}}}",
+             \"per_event_ns\":{:.1},\"ratio_vs_4x4\":{:.3},\"peak_rss_mb\":{}}}",
             geom.num_buckets,
             geom.width_ps(),
             result.runs.join(","),
             best,
             best / 1e6,
             per_event_ns,
-            ratio_vs_4x4
+            ratio_vs_4x4,
+            peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"))
         );
     } else {
         if region_block && !result.regions.is_empty() {

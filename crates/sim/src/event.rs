@@ -14,6 +14,16 @@
 //!   `(t / width) mod buckets` with a plain `Vec` push — O(1), no sifting.
 //!   A 64-bit occupancy bitmap per 64 buckets lets the cursor skip runs of
 //!   empty buckets in a few instructions.
+//! * **Pooled bucket buffers.** A bucket owns a buffer only while it holds
+//!   events. When the cursor bucket drains, its buffer goes onto a LIFO
+//!   pool; when an unallocated bucket takes its first event, it takes the
+//!   most recently drained buffer. Wheel memory therefore follows the
+//!   number of occupied buckets, not the bucket count, and the next bucket
+//!   to fill reuses a buffer that is still in cache. A buffer kept per
+//!   bucket would sit at its peak size for a whole rotation: on the mixed
+//!   32×32 mesh (32 768 buckets, about 66 events per window) that is
+//!   about 258 MB, each buffer touched once per 1.05 µs of simulated time
+//!   and so always cold.
 //! * **Far future — the overflow heap.** Events beyond the wheel span go
 //!   to a binary heap. Whenever the cursor's epoch advances, every
 //!   overflow event that now falls inside the span is promoted into its
@@ -72,10 +82,10 @@ use std::collections::BinaryHeap;
 ///   buffer advance), so the default 32 ps window keeps even
 ///   worst-case-derated chains apart.
 /// * `num_buckets` fixes the span (`buckets × width`) and the bucket-header
-///   working set. More buckets spread a denser concurrent-event population
-///   thinner (shorter per-bucket sorts) at the price of cache footprint —
-///   past ~64 K headers every push is a cache miss, which costs more than
-///   the sort it saves.
+///   working set (24 B a bucket; entry storage is pooled and held only by
+///   occupied buckets). It does not thin the buckets out: how many events
+///   a bucket holds when the cursor reaches it is the model's event rate
+///   times the width, whatever the count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WheelGeometry {
     /// Number of wheel buckets (a power of two).
@@ -97,8 +107,8 @@ impl WheelGeometry {
         width_log2: 5,
     };
 
-    /// Chooses a geometry for a mesh scenario from its expected event
-    /// density.
+    /// Chooses a geometry for a mesh scenario from its node count and
+    /// minimum stage delay.
     ///
     /// The heuristic, term by term:
     ///
@@ -109,13 +119,18 @@ impl WheelGeometry {
     ///   spacing, so same-bucket collisions come only from *independent*
     ///   chains. For the paper's 180 ps minimum stage delay this yields
     ///   the default 32 ps.
-    /// * **Buckets from concurrency.** A running mesh keeps roughly one
-    ///   in-flight event per active channel: four link ports plus a local
-    ///   interface per node ⇒ ~5·nodes concurrent events spread over the
-    ///   span. Provisioning `4 × 5·nodes` buckets keeps expected per-bucket
-    ///   occupancy well under one as the mesh grows (the wheel-geometry
-    ///   scaling validated on the 16×16/32×32 probes), clamped between the
-    ///   tuned 2048 floor and a 32 768 cache-footprint ceiling.
+    /// * **Buckets from mesh size.** The count is `4 × 5·nodes` (four link
+    ///   ports plus a local interface per node) rounded up to a power of
+    ///   two and clamped between the tuned 2048 floor and a 32 768 ceiling.
+    ///   What it sets is the span, so a larger mesh schedules further ahead
+    ///   on the wheel before events take the overflow heap. It does not set
+    ///   the density at the cursor: the mixed 32×32 mesh dispatches about
+    ///   2 070 events per simulated ns, about 66 per 32 ps window (the 4×4
+    ///   mesh: about 0.4). On 32×32 the bucket under the cursor therefore
+    ///   holds tens of events, and about 1 000 of the 32 768 buckets are
+    ///   occupied.
+    ///   With pooled bucket buffers (see the module docs) the unoccupied
+    ///   buckets cost only their headers.
     ///
     /// For every mesh up to 8×8 the clamps reproduce
     /// [`WheelGeometry::DEFAULT`] exactly — pinned by a regression test —
@@ -129,20 +144,23 @@ impl WheelGeometry {
         }
     }
 
-    /// Validates the geometry: a power-of-two bucket count in
-    /// [64, 2^20], width in [1 ps, 2^20 ps], and a span that fits `u64`
-    /// time arithmetic.
-    fn validate(self) {
-        assert!(
-            self.num_buckets.is_power_of_two() && (64..=1 << 20).contains(&self.num_buckets),
-            "wheel bucket count must be a power of two in [64, 2^20], got {}",
-            self.num_buckets
-        );
-        assert!(
-            self.width_log2 <= 20,
-            "wheel bucket width must be at most 2^20 ps, got 2^{}",
-            self.width_log2
-        );
+    /// Checks the geometry: a power-of-two bucket count in [64, 2^20],
+    /// width in [1 ps, 2^20 ps], and so a span that fits `u64` time
+    /// arithmetic. The error names the offending parameter.
+    pub fn check(self) -> Result<(), String> {
+        if !(self.num_buckets.is_power_of_two() && (64..=1 << 20).contains(&self.num_buckets)) {
+            return Err(format!(
+                "wheel bucket count must be a power of two in [64, 2^20], got {}",
+                self.num_buckets
+            ));
+        }
+        if self.width_log2 > 20 {
+            return Err(format!(
+                "wheel bucket width must be at most 2^20 ps, got 2^{}",
+                self.width_log2
+            ));
+        }
+        Ok(())
     }
 
     /// The bucket window width in picoseconds.
@@ -174,6 +192,11 @@ pub struct EventQueue<E> {
     buckets: Box<[Vec<Entry<E>>]>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: Box<[u64]>,
+    /// Drained bucket buffers, most recently drained last. A bucket that
+    /// empties hands its buffer here and an unallocated bucket taking its
+    /// first entry takes the top one, so every wheel bucket is either
+    /// non-empty or holds no allocation.
+    pool: Vec<Vec<Entry<E>>>,
     /// Number of set occupancy bits, maintained on transitions so the
     /// profiler reads it in O(1) instead of popcounting the bitmap on
     /// every dispatch.
@@ -261,10 +284,13 @@ impl<E> EventQueue<E> {
     /// Panics if the geometry is out of range: the bucket count must be a
     /// power of two in [64, 2^20] and the width at most 2^20 ps.
     pub fn with_geometry(geometry: WheelGeometry) -> Self {
-        geometry.validate();
+        if let Err(msg) = geometry.check() {
+            panic!("{msg}");
+        }
         EventQueue {
             buckets: (0..geometry.num_buckets).map(|_| Vec::new()).collect(),
             occupancy: vec![0u64; geometry.num_buckets / 64].into_boxed_slice(),
+            pool: Vec::new(),
             occupied: 0,
             bucket_mask: geometry.num_buckets - 1,
             width_log2: geometry.width_log2,
@@ -368,8 +394,7 @@ impl<E> EventQueue<E> {
             debug_assert!(self.overflow.is_empty());
             self.epoch = self.align_down(t);
             self.cursor = self.bucket_of(t);
-            self.buckets[self.cursor].push(entry);
-            self.set_bit(self.cursor);
+            self.push_into(self.cursor, entry);
             self.near_count = 1;
             return;
         }
@@ -389,9 +414,8 @@ impl<E> EventQueue<E> {
                 let pos = bucket.partition_point(|e| e.key() > key);
                 bucket.insert(pos, entry);
             } else {
-                bucket.push(entry);
+                self.push_into(b, entry);
             }
-            self.set_bit(b);
             self.near_count += 1;
         } else {
             self.overflow_min = self.overflow_min.min(t);
@@ -451,8 +475,7 @@ impl<E> EventQueue<E> {
                     let e = bucket.pop().expect("non-empty bucket");
                     self.near_count -= 1;
                     if bucket.is_empty() {
-                        self.clear_bit(self.cursor);
-                        self.ensure_front();
+                        self.retire_cursor_bucket();
                     }
                     if self.region_fn.is_some() {
                         self.record_region(&e.event);
@@ -476,8 +499,7 @@ impl<E> EventQueue<E> {
             .expect("cursor bucket empty despite near_count");
         self.near_count -= 1;
         if bucket.is_empty() {
-            self.clear_bit(self.cursor);
-            self.ensure_front();
+            self.retire_cursor_bucket();
         }
         if self.region_fn.is_some() {
             self.record_region(&e.event);
@@ -508,8 +530,7 @@ impl<E> EventQueue<E> {
             let e = bucket.pop().expect("wheel front vanished");
             self.near_count -= 1;
             if bucket.is_empty() {
-                self.clear_bit(self.cursor);
-                self.ensure_front();
+                self.retire_cursor_bucket();
             }
             e
         };
@@ -571,6 +592,31 @@ impl<E> EventQueue<E> {
         self.occupancy[word] &= !mask;
     }
 
+    /// Appends `entry` to bucket `b` (unsorted) and marks it occupied. An
+    /// unallocated bucket first takes the most recently drained buffer,
+    /// which is the one most likely still in cache.
+    #[inline]
+    fn push_into(&mut self, b: usize, entry: Entry<E>) {
+        let bucket = &mut self.buckets[b];
+        if bucket.capacity() == 0 {
+            if let Some(buffer) = self.pool.pop() {
+                *bucket = buffer;
+            }
+        }
+        bucket.push(entry);
+        self.set_bit(b);
+    }
+
+    /// The cursor bucket just drained: returns its buffer to the pool and
+    /// moves the cursor to the next event.
+    #[inline]
+    fn retire_cursor_bucket(&mut self) {
+        let buffer = std::mem::take(&mut self.buckets[self.cursor]);
+        self.pool.push(buffer);
+        self.clear_bit(self.cursor);
+        self.ensure_front();
+    }
+
     /// Re-establishes the front invariant: if any event is in the wheel or
     /// overflow, `buckets[cursor]` is non-empty and sorted descending by
     /// `(time, seq)`.
@@ -616,8 +662,7 @@ impl<E> EventQueue<E> {
             }
             let entry = self.overflow.pop().expect("peeked entry vanished");
             let b = self.bucket_of(t);
-            self.buckets[b].push(entry);
-            self.set_bit(b);
+            self.push_into(b, entry);
             self.near_count += 1;
         }
         self.overflow_min = u64::MAX;
@@ -992,7 +1037,14 @@ mod tests {
         let mut r = RefQueue::new();
         let mut rng = crate::rng::SimRng::new(0x6E0);
         let mut now = 0u64;
-        let mut popped = 0u64;
+        // Pops every queue against the reference; returns the popped time.
+        let pop_all = |queues: &mut [EventQueue<u64>], r: &mut RefQueue<u64>, step: u64| {
+            let want = r.pop();
+            for q in queues.iter_mut() {
+                assert_eq!(q.pop(), want, "geometry divergence at step {step}");
+            }
+            want.map(|(t, _)| t.as_ps())
+        };
         for i in 0..20_000u64 {
             let t = SimTime::from_ps(now + rng.gen_range(100_000));
             for q in &mut queues {
@@ -1000,19 +1052,81 @@ mod tests {
             }
             r.push(t, i);
             if rng.gen_range(3) != 0 {
-                let want = r.pop();
-                for q in &mut queues {
-                    assert_eq!(q.pop(), want, "geometry divergence at step {i}");
-                }
-                if let Some((t, _)) = want {
-                    now = t.as_ps();
-                    popped += 1;
-                }
+                now = pop_all(&mut queues, &mut r, i).unwrap_or(now);
             }
         }
-        // Every dispatched event was attributed to a region.
+        // Dense bursts, 64–255 events within a few 32 ps windows, so
+        // recycled bucket buffers carrying stale capacity meet the
+        // reference in every geometry.
+        let mut i = 20_000u64;
+        for _ in 0..300 {
+            let base = now + rng.gen_range(5_000);
+            for _ in 0..64 + rng.gen_range(192) {
+                let t = SimTime::from_ps(base + rng.gen_range(96));
+                for q in &mut queues {
+                    q.push(t, i);
+                }
+                r.push(t, i);
+                i += 1;
+            }
+            for _ in 0..rng.gen_range(300) {
+                now = pop_all(&mut queues, &mut r, i).unwrap_or(now);
+            }
+        }
+        while pop_all(&mut queues, &mut r, i).is_some() {}
+        assert!(queues.iter().all(|q| q.is_empty()));
+        // Every scheduled event was dispatched and attributed to a region.
         let total: u64 = queues[3].region_dispatch_counts().iter().sum();
-        assert_eq!(total, popped, "region census must equal dispatched count");
+        assert_eq!(total, i, "region census must equal dispatched count");
+    }
+
+    /// A dense schedule swept over two full rotations of the 32×32 mesh's
+    /// 32 768-bucket wheel: the memory the wheel holds must follow the
+    /// number of buckets occupied at once, not the bucket count, because
+    /// drained buffers go back to the pool instead of staying with their
+    /// bucket for a whole rotation.
+    #[test]
+    fn bucket_buffers_scale_with_occupied_buckets() {
+        let geometry = WheelGeometry::for_mesh(1024, 180);
+        assert_eq!(geometry.num_buckets, 32_768);
+        let mut q = EventQueue::with_geometry(geometry);
+        let mut rng = crate::rng::SimRng::new(0xB0CE7);
+        // Hold model: every pop schedules one follow-up 100–2 100 ps out
+        // (hop-like delays), with 2 400 events in flight — about 70 per
+        // 32 ps window.
+        for i in 0..2_400u64 {
+            q.push(SimTime::from_ps(rng.gen_range(2_100)), i);
+        }
+        let end = 2 * geometry.span_ps();
+        let (mut peak_occupied, mut peak_len, mut pops) = (0usize, 0usize, 0u64);
+        let mut now = 0u64;
+        while now < end {
+            let (t, v) = q.pop().expect("the hold model never drains");
+            now = t.as_ps();
+            pops += 1;
+            let next = now + 100 + rng.gen_range(2_000);
+            q.push(SimTime::from_ps(next), v);
+            peak_len = peak_len.max(q.buckets[q.bucket_of(next)].len());
+            peak_occupied = peak_occupied.max(q.occupied_buckets());
+        }
+        let windows = end >> geometry.width_log2;
+        assert!(
+            pops >= 64 * windows,
+            "schedule must be dense: {pops} pops over {windows} windows"
+        );
+        let buffers = q.buckets.iter().chain(&q.pool).filter(|b| b.capacity() > 0);
+        let (count, capacity) = buffers.fold((0, 0), |(n, c), b| (n + 1, c + b.capacity()));
+        assert!(
+            count <= peak_occupied,
+            "{count} buffers allocated for at most {peak_occupied} occupied buckets"
+        );
+        // Vec growth at most doubles past the needed length (minimum 4).
+        let bound = peak_occupied * (2 * peak_len).max(4);
+        assert!(
+            capacity <= bound,
+            "wheel holds {capacity} entries of capacity, bound {bound} \
+             ({peak_occupied} occupied × peak length {peak_len})"
+        );
     }
 
     // ------------------------------------------------------------------
